@@ -148,6 +148,16 @@ def _load_monitor_or_fail(path: str, specs):
     return monitor
 
 
+def _throughput_line(events: int, elapsed: float) -> str:
+    """The closing ``[rate ev/s across metrics, T s]`` line: the unit
+    adapts (``14,210 ev/s``, ``3.4 M ev/s``) so slow labeled runs do
+    not print ``0.0 M ev/s``.  CI strips the bracket with
+    ``sed 's/\\[.*s\\]//'`` — keep the form."""
+    rate = events / elapsed if elapsed > 0 else float("inf")
+    text = f"{rate / 1e6:.1f} M" if rate >= 1e6 else f"{rate:,.0f}"
+    return f"\n[{text} ev/s across metrics, {elapsed:.1f}s]"
+
+
 def _print_final_snapshot(snapshot, reports) -> None:
     """Render the final-snapshot block.
 
@@ -440,8 +450,7 @@ def run_monitor(argv: List[str]) -> int:
         print(f"checkpoint saved to {args.checkpoint!r}")
 
     _print_final_snapshot(monitor.snapshot(), monitor.space_report())
-    rate = len(fresh) * len(monitor) / elapsed / 1e6 if elapsed > 0 else float("inf")
-    print(f"\n[{rate:.1f} M ev/s across metrics, {elapsed:.1f}s]")
+    print(_throughput_line(len(fresh) * len(monitor), elapsed))
     return 0
 
 
@@ -805,12 +814,7 @@ def run_loadgen(argv: List[str]) -> int:
     except (ServerError, ConnectionError, OSError, ValueError) as exc:
         raise _fail(exc) from None
     elapsed = summary["elapsed"]
-    rate = (
-        summary["events"] * len(summary["metrics"]) / elapsed / 1e6
-        if elapsed > 0
-        else float("inf")
-    )
-    print(f"\n[{rate:.1f} M ev/s across metrics, {elapsed:.1f}s]")
+    print(_throughput_line(summary["events"] * len(summary["metrics"]), elapsed))
     return 0
 
 

@@ -23,9 +23,12 @@ instead of deserialising garbage.
 
 from __future__ import annotations
 
+import json
 import random
 import warnings
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
+from collections.abc import Mapping
+from types import GeneratorType
+from typing import Any, Callable, Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -49,6 +52,10 @@ class StateCompatWarning(UserWarning):
     """
 
 
+#: Exact builtin scalar types :func:`as_native` returns unchanged.
+_SCALARS = frozenset((float, int, str, bool, type(None)))
+
+
 def as_native(obj: Any) -> Any:
     """Recursively coerce numpy scalars/arrays to native Python types.
 
@@ -57,17 +64,69 @@ def as_native(obj: Any) -> Any:
     ``np.float64`` values (``np.float64`` *is* a float subclass and would
     serialise, but the contract is strict native types throughout).
     """
+    kind = type(obj)
+    if kind is dict:
+        return {key: as_native(value) for key, value in obj.items()}
+    if kind is list or kind is tuple:
+        return [as_native(item) for item in obj]
+    if kind in _SCALARS:
+        return obj
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.generic):
         return obj.item()
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (str, int, float)):
-        return obj
     if isinstance(obj, Mapping):
         return {key: as_native(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [as_native(item) for item in obj]
     return obj
+
+
+# ----------------------------------------------------------------------
+# Streamed encoding of large states
+# ----------------------------------------------------------------------
+#: ``json.dumps(obj, separators=(",", ":"))``, one C-encoder call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _has_rows(obj: Any) -> bool:
+    return type(obj) is dict and any(
+        type(value) is GeneratorType for value in obj.values()
+    )
+
+
+def resolve(state: Any) -> Any:
+    """Build a *lazy* state: a state dict some of whose lists are still
+    generators of rows (rows may be lazy states themselves)."""
+    if type(state) is GeneratorType:
+        return [resolve(row) for row in state]
+    if _has_rows(state):
+        return {key: resolve(value) for key, value in state.items()}
+    return state
+
+
+def write_json(state: Any, write: Callable[[str], Any]) -> None:
+    """Write ``json.dumps(resolve(state), separators=(",", ":"))``
+    through ``write``, building, encoding (one C-encoder call) and
+    dropping one row at a time (``json.dump`` would run the pure-Python
+    encoder over the whole tree)."""
+    if type(state) is GeneratorType:
+        write("[")
+        for position, row in enumerate(state):
+            if position:
+                write(",")
+            write_json(row, write)
+        write("]")
+    elif _has_rows(state):
+        write("{")
+        for position, (key, value) in enumerate(state.items()):
+            if position:
+                write(",")
+            write(_encode(key) + ":")
+            write_json(value, write)
+        write("}")
+    else:
+        write(_encode(state))
 
 
 def header(kind: str, version: int) -> Dict[str, Any]:

@@ -10,7 +10,7 @@ labelset.  This package provides the three layers underneath:
   shared by the load generator, the CLI and the equivalence batteries.
 - :mod:`repro.series.index` — :class:`SeriesIndex`: lazy per-labelset
   channel instantiation, hash-sharded internally, with deterministic
-  tick-based LRU/TTL eviction that seals series through the serde path
+  tick-based LRU/TTL eviction that parks series' channels untouched
   (evicted series stay queryable and resurrect bit-identically).
 - :mod:`repro.series.groupby` — the group-by query engine: per-group
   policy merges over live indexes and historical stores, bit-identical

@@ -87,29 +87,25 @@ def group_by_live(index, by, quantiles: Optional[Sequence[float]] = None) -> Dic
     """
     by = _validated_by(by, index.spec.labels, index.spec.name)
     grouped: Dict[str, Dict[str, Any]] = {}
-    for key, labels, entry, state in index.members():
-        items = _group_items(labels, by)
+    for _key, entry, evicted in index.members():
+        items = _group_items(entry.labels, by)
         enc = encode_labelset(items)
         bucket = grouped.setdefault(
             enc, {"items": items, "members": [], "evicted": 0, "count": 0}
         )
-        if entry is not None:
-            bucket["members"].append(entry.channel.policy)
-            bucket["count"] += sum(entry.channel._counts) + entry.channel._in_flight
-        else:
-            bucket["members"].append(state["policy"])
-            bucket["evicted"] += 1
-            bucket["count"] += sum(state["counts"]) + int(state["in_flight"])
+        channel = entry.channel
+        bucket["members"].append(channel.policy)
+        bucket["evicted"] += evicted
+        bucket["count"] += sum(channel._counts) + channel._in_flight
     groups: List[Dict[str, Any]] = []
     for enc in sorted(grouped):
         bucket = grouped[enc]
         members = bucket["members"]
         # Clone the first member bit-identically; later members merge in
         # directly (merge never mutates its donor).
-        first = members[0]
-        master = policy_from_state(first if isinstance(first, dict) else first.to_state())
+        master = policy_from_state(members[0].to_state())
         for donor in members[1:]:
-            master.merge(policy_from_state(donor) if isinstance(donor, dict) else donor)
+            master.merge(donor)
         answer = _select(master.query(), quantiles, index.spec.name)
         groups.append(
             {

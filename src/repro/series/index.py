@@ -13,12 +13,15 @@ ticks* (a monotonic per-index counter), never wall-clock time, so a run
 is a pure function of its event stream: with ``max_active`` set, the
 least-recently-observed series is evicted when a new series would exceed
 the bound; with ``idle_ttl`` set, series idle for more than that many
-ticks are evicted whenever a new series materialises.  Evicting seals
-the channel through the PR-4 serde path (``MetricChannel.to_state``), so
-an evicted series loses nothing: it still answers snapshots and group-by
-queries from its sealed state, and the next observation *resurrects* it
-bit-identically (``from_state``) — eviction on/off cannot change any
-result, a property the group-by equivalence battery pins.
+ticks are evicted whenever a new series materialises.  Evicting parks
+the series' own channel, untouched, outside the active shards — a
+pointer move, no serialisation — so an evicted series loses nothing: it
+still answers snapshots and group-by queries from its parked channel,
+and the next observation *resurrects* it by moving the same channel
+(history recorder still attached) back — eviction on/off cannot change
+any result, a property the group-by equivalence battery pins.  Eviction
+bounds the *active* set (the LRU/TTL working set); it does not shrink
+memory.
 
 History recording composes: attach a binder (see
 :meth:`SeriesIndex.attach_history`) and every series — including ones
@@ -29,7 +32,6 @@ its series key.
 from __future__ import annotations
 
 import heapq
-import json
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -53,7 +55,8 @@ DEFAULT_SHARDS = 4
 
 
 class _Entry:
-    """One active series: its channel, labels and recency tick."""
+    """One series (active or evicted): its channel, labels and recency
+    tick (meaningful while active)."""
 
     __slots__ = ("channel", "labels", "touch")
 
@@ -63,15 +66,9 @@ class _Entry:
         self.touch = touch
 
 
-class _Evicted:
-    """One evicted series: labels plus the sealed channel state."""
-
-    __slots__ = ("labels", "state", "state_bytes")
-
-    def __init__(self, labels: LabelItems, state: dict, state_bytes: int) -> None:
-        self.labels = labels
-        self.state = state
-        self.state_bytes = state_bytes
+def _space_bytes(entry: _Entry) -> int:
+    """The 8-bytes-per-state-variable memory estimate of one series."""
+    return int(entry.channel.policy.space_variables()) * 8
 
 
 class SeriesIndex:
@@ -96,7 +93,7 @@ class SeriesIndex:
         self.max_active: Optional[int] = options.get("max_active")  # type: ignore[assignment]
         self.idle_ttl: Optional[int] = options.get("idle_ttl")  # type: ignore[assignment]
         self._shards: List[Dict[str, _Entry]] = [{} for _ in range(self.n_shards)]
-        self._evicted: Dict[str, _Evicted] = {}
+        self._evicted: Dict[str, _Entry] = {}
         #: Lazy-deletion LRU heap of ``(touch, key)``; stale pairs (the
         #: entry has been touched since, or evicted) are skipped on pop.
         self._lru: List[Tuple[int, str]] = []
@@ -135,20 +132,17 @@ class SeriesIndex:
         """Create or resurrect the series for ``key``, then evict."""
         from repro.service.monitor import MetricChannel
 
-        sealed = self._evicted.pop(key, None)
-        if sealed is not None:
-            channel = MetricChannel.from_state(
-                sealed.state, emit_partial=self._emit_partial
-            )
+        entry = self._evicted.pop(key, None)
+        if entry is not None:
+            # The parked channel comes back as it left (recorder included).
+            entry.touch = self._tick
             self._resurrections += 1
         else:
             channel = MetricChannel(self.spec, emit_partial=self._emit_partial)
+            if self._history_binder is not None:
+                channel.attach_recorder(self._series_sink(key))
+            entry = _Entry(channel, items, self._tick)
             self._created += 1
-        if self._history_binder is not None:
-            # A fresh channel attaches cleanly (nothing in flight); a
-            # resurrected one resumes its staged mid-period recorder.
-            channel.attach_recorder(self._series_sink(key))
-        entry = _Entry(channel, items, self._tick)
         shard[key] = entry
         self._evict_stale(keep=key)
         return entry
@@ -185,12 +179,9 @@ class SeriesIndex:
         return self._shards[hash_shard_of_key(key, self.n_shards)].get(key)
 
     def _evict(self, key: str) -> None:
-        """Seal one active series through the serde path."""
+        """Park one active series' channel outside the active shards."""
         shard = self._shards[hash_shard_of_key(key, self.n_shards)]
-        entry = shard.pop(key)
-        state = entry.channel.to_state()
-        blob = json.dumps(state, separators=(",", ":"))
-        self._evicted[key] = _Evicted(entry.labels, state, len(blob))
+        self._evicted[key] = shard.pop(key)
         self._evictions += 1
 
     def evict_idle(self) -> int:
@@ -212,12 +203,13 @@ class SeriesIndex:
     def attach_history(self, binder: HistoryBinder) -> None:
         """Record every series' per-period deltas via ``binder``.
 
-        ``binder(series_key)`` is invoked once per materialised series
-        (including later creations and resurrections); it must register
-        the derived spec with its store and return the history sink.
-        Attach before ingesting — existing active series attach
+        ``binder(series_key)`` is invoked once per series (existing ones
+        now, later creations as they materialise); it must register the
+        derived spec with its store and return the history sink.  Attach
+        before ingesting — existing series, active or evicted, attach
         immediately and reject mid-period attachment exactly like
-        :meth:`MetricChannel.attach_recorder`.
+        :meth:`MetricChannel.attach_recorder` (series restored from a
+        checkpoint saved while recording resume their staged recorder).
         """
         if self._history_binder is not None:
             raise ValueError(
@@ -225,7 +217,7 @@ class SeriesIndex:
                 "history binder per series index"
             )
         self._history_binder = binder
-        for key, entry in sorted(self._iter_active()):
+        for key, entry in self._iter_all():
             entry.channel.attach_recorder(self._series_sink(key))
 
     def _series_sink(self, key: str):
@@ -252,68 +244,51 @@ class SeriesIndex:
         for shard in self._shards:
             yield from shard.items()
 
-    def series(self) -> List[str]:
-        """Every known series key (active + evicted), sorted."""
-        keys = [key for key, _ in self._iter_active()]
-        keys.extend(self._evicted)
-        return sorted(keys)
-
-    def members(self) -> List[Tuple[str, LabelItems, Optional[_Entry], Optional[dict]]]:
-        """All series in canonical key order, active or sealed.
-
-        Each element is ``(key, labels, entry_or_None, state_or_None)``
-        — exactly one of the last two is set.  The group-by engine and
-        snapshots iterate this, so every answer is ordered by canonical
-        series key regardless of shard layout or eviction history.
-        """
-        rows: List[Tuple[str, LabelItems, Optional[_Entry], Optional[dict]]] = [
-            (key, entry.labels, entry, None) for key, entry in self._iter_active()
-        ]
-        rows.extend(
-            (key, sealed.labels, None, sealed.state)
-            for key, sealed in self._evicted.items()
-        )
+    def _iter_all(self) -> List[Tuple[str, _Entry]]:
+        """Every series, active or evicted, in canonical key order."""
+        rows = list(self._iter_active())
+        rows.extend(self._evicted.items())
         rows.sort(key=lambda row: row[0])
         return rows
 
+    def series(self) -> List[str]:
+        """Every known series key (active + evicted), sorted."""
+        return [key for key, _ in self._iter_all()]
+
+    def members(self) -> List[Tuple[str, _Entry, bool]]:
+        """All series in canonical key order: ``(key, entry, evicted)``.
+
+        The group-by engine and snapshots iterate this, so every answer
+        is ordered by canonical series key regardless of shard layout or
+        eviction history.
+        """
+        return [
+            (key, entry, key in self._evicted) for key, entry in self._iter_all()
+        ]
+
     def seen(self) -> int:
         """Total elements ingested across all series (active + evicted)."""
-        total = sum(entry.channel.seen for _, entry in self._iter_active())
-        total += sum(int(sealed.state["seen"]) for sealed in self._evicted.values())
-        return total
+        return sum(entry.channel.seen for _, entry in self._iter_all())
 
     def snapshot(self) -> Dict[str, Optional[Dict[float, float]]]:
         """Latest ``{phi: estimate}`` per series key (evicted included)."""
         result: Dict[str, Optional[Dict[float, float]]] = {}
-        for key, _labels, entry, state in self.members():
-            if entry is not None:
-                latest = entry.channel.latest
-                result[key] = dict(latest.result) if latest else None
-            else:
-                results = state["results"]
-                result[key] = (
-                    serde.mapping_from_pairs(results[-1]["result"])
-                    if results
-                    else None
-                )
+        for key, entry in self._iter_all():
+            latest = entry.channel.latest
+            result[key] = dict(latest.result) if latest else None
         return result
 
     def results(self, labels: object):
         """One series' emitted evaluations (evicted series answer too)."""
-        from repro.service.monitor import MetricChannel
-
         items = canonical_labelset(labels, self.spec.labels, self.spec.name)
         key = series_key(self.spec.name, items)
-        entry = self._active_entry(key)
-        if entry is not None:
-            return list(entry.channel.results)
-        sealed = self._evicted.get(key)
-        if sealed is None:
+        entry = self._active_entry(key) or self._evicted.get(key)
+        if entry is None:
             raise KeyError(
                 f"metric {self.spec.name!r}: no series {key!r} has been "
                 f"observed; known series: {self.series() or '(none)'}"
             )
-        return MetricChannel.from_state(sealed.state).results
+        return list(entry.channel.results)
 
     def group_by(self, by, quantiles=None) -> dict:
         """Merged quantiles per label-subset group — see
@@ -325,15 +300,20 @@ class SeriesIndex:
     def stats(self) -> Dict[str, object]:
         """Cardinality counters and a memory estimate.
 
-        ``memory_estimate_bytes`` counts active policies' state variables
-        at 8 bytes each plus the JSON size of sealed (evicted) states —
-        an order-of-magnitude planning figure, not an exact RSS.
+        ``memory_estimate_bytes`` counts every series' policy state
+        variables at 8 bytes each — ``active_space * 8`` for active
+        series plus ``evicted_state_bytes``, the same estimate for the
+        evicted ones (which stay resident as parked channels; earlier
+        releases reported their serialised JSON size here).  An
+        order-of-magnitude planning figure, not an exact RSS.
         """
         active_space = sum(
             entry.channel.policy.space_variables()
             for _, entry in self._iter_active()
         )
-        evicted_bytes = sum(s.state_bytes for s in self._evicted.values())
+        evicted_bytes = sum(
+            _space_bytes(entry) for entry in self._evicted.values()
+        )
         return {
             "active": self.active_count(),
             "evicted": self.evicted_count(),
@@ -353,10 +333,7 @@ class SeriesIndex:
         plus the cardinality stats (shape-compatible with a channel's
         report, so shared renderers work unchanged)."""
         evaluations = sum(
-            len(entry.channel.results) for _, entry in self._iter_active()
-        )
-        evaluations += sum(
-            len(sealed.state["results"]) for sealed in self._evicted.values()
+            len(entry.channel.results) for _, entry in self._iter_all()
         )
         peak = sum(
             entry.channel.policy.peak_space_variables()
@@ -386,7 +363,7 @@ class SeriesIndex:
         Series present on both sides merge channel-wise (the universal
         merge contract); series only the donor knows are adopted via a
         serde round-trip (bit-identical clone).  Donor eviction state is
-        irrelevant — sealed series contribute exactly like active ones.
+        irrelevant — evicted series contribute exactly like active ones.
         """
         if other.spec.to_dict() != self.spec.to_dict():
             raise ValueError(
@@ -395,18 +372,12 @@ class SeriesIndex:
             )
         from repro.service.monitor import MetricChannel
 
-        for key, _labels, entry, state in other.members():
-            donor = (
-                entry.channel
-                if entry is not None
-                else MetricChannel.from_state(state)
-            )
+        for key, entry in other._iter_all():
+            donor = entry.channel
             mine = self._active_entry(key)
             if mine is None and key in self._evicted:
                 # Resurrect, merge, and leave active (it was just touched).
-                labels = dict(self._evicted[key].labels)
-                self._entry_for(labels)
-                mine = self._active_entry(key)
+                mine = self._entry_for(dict(self._evicted[key].labels))
             if mine is not None:
                 mine.channel.merge_from(donor)
             else:
@@ -415,18 +386,15 @@ class SeriesIndex:
                 )
                 if self._history_binder is not None:
                     adopted.attach_recorder(self._series_sink(key))
-                items = (
-                    entry.labels if entry is not None else other._evicted[key].labels
-                )
                 self._tick += 1
-                new_entry = _Entry(adopted, items, self._tick)
+                new_entry = _Entry(adopted, entry.labels, self._tick)
                 self._shards[hash_shard_of_key(key, self.n_shards)][key] = new_entry
                 heapq.heappush(self._lru, (new_entry.touch, key))
                 self._created += 1
                 self._evict_stale(keep=key)
 
     def reset(self) -> None:
-        """Drop every series (active and sealed); the schema stays."""
+        """Drop every series (active and evicted); the schema stays."""
         for shard in self._shards:
             shard.clear()
         self._evicted.clear()
@@ -437,14 +405,19 @@ class SeriesIndex:
     # Durable state
     # ------------------------------------------------------------------
     def to_state(self) -> dict:
-        """The full index: every series (sealed or live), ticks, counters."""
+        """The full index: every series (evicted or active), ticks, counters."""
+        return serde.resolve(self._lazy_state())
+
+    def _lazy_state(self) -> dict:
+        """:meth:`to_state` with its series rows still unbuilt (generators
+        :func:`repro.serde.write_json` encodes one row at a time)."""
         state = serde.header("series_index", SERIES_INDEX_STATE_VERSION)
         state["spec"] = serde.as_native(self.spec.to_dict())
         state["tick"] = int(self._tick)
         state["created"] = int(self._created)
         state["evictions"] = int(self._evictions)
         state["resurrections"] = int(self._resurrections)
-        state["active"] = [
+        state["active"] = (
             {
                 "key": key,
                 "labels": [[n, v] for n, v in entry.labels],
@@ -452,16 +425,18 @@ class SeriesIndex:
                 "channel": entry.channel.to_state(),
             }
             for key, entry in sorted(self._iter_active())
-        ]
-        state["evicted"] = [
+        )
+        # Evicted rows keep their established layout ('state' plus a
+        # 'bytes' estimate), so older releases still load the checkpoint.
+        state["evicted"] = (
             {
                 "key": key,
-                "labels": [[n, v] for n, v in sealed.labels],
-                "state": sealed.state,
-                "bytes": int(sealed.state_bytes),
+                "labels": [[n, v] for n, v in entry.labels],
+                "state": entry.channel.to_state(),
+                "bytes": _space_bytes(entry),
             }
-            for key, sealed in sorted(self._evicted.items())
-        ]
+            for key, entry in sorted(self._evicted.items())
+        )
         return state
 
     @classmethod
@@ -502,7 +477,8 @@ class SeriesIndex:
             heapq.heappush(index._lru, (entry.touch, key))
         for row in state["evicted"]:
             items = tuple((str(n), str(v)) for n, v in row["labels"])
-            index._evicted[row["key"]] = _Evicted(
-                items, dict(row["state"]), int(row.get("bytes", 0))
+            channel = MetricChannel.from_state(
+                row["state"], emit_partial=emit_partial
             )
+            index._evicted[row["key"]] = _Entry(channel, items, 0)
         return index

@@ -589,7 +589,7 @@ class Monitor:
         """All evaluations emitted so far for metric ``name``.
 
         A labeled metric requires ``labels`` naming one series (evicted
-        series answer from their sealed state).
+        series answer from their parked channel).
         """
         if name in self._families:
             if labels is None:
@@ -705,14 +705,19 @@ class Monitor:
     # ------------------------------------------------------------------
     def to_state(self) -> dict:
         """Everything: specs plus every metric's full operator state."""
+        return serde.resolve(self._lazy_state())
+
+    def _lazy_state(self) -> dict:
+        """:meth:`to_state` with channels and series rows still unbuilt
+        (:meth:`save` streams them through :func:`repro.serde.write_json`)."""
         state = serde.header("monitor", MONITOR_STATE_VERSION)
         state["format"] = MONITOR_FORMAT
-        state["metrics"] = [
+        state["metrics"] = (
             channel.to_state() for channel in self._channels.values()
-        ]
-        state["series_families"] = [
-            family.to_state() for family in self._families.values()
-        ]
+        )
+        state["series_families"] = (
+            family._lazy_state() for family in self._families.values()
+        )
         state["order"] = list(self._order)
         return state
 
@@ -781,9 +786,13 @@ class Monitor:
         where this one stopped (feed it the elements after each channel's
         ``seen`` count).
 
-        The write is atomic (temp file + ``os.replace``): a crash
-        mid-save — the exact event checkpoints exist to survive — leaves
-        the previous checkpoint intact instead of a truncated file.
+        The file is ``json.dumps(self.to_state(), separators=(",",
+        ":"))`` plus a newline, byte for byte, but streamed: each channel
+        state and each series row is built, encoded and written in turn,
+        so a save never holds the whole tree.  The write is atomic (temp file +
+        ``os.replace``): a crash mid-save — the exact event checkpoints
+        exist to survive — leaves the previous checkpoint intact instead
+        of a truncated file.
         """
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp_path = tempfile.mkstemp(
@@ -791,7 +800,7 @@ class Monitor:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(self.to_state(), handle, separators=(",", ":"))
+                serde.write_json(self._lazy_state(), handle.write)
                 handle.write("\n")
             os.replace(tmp_path, path)
         except BaseException:

@@ -96,7 +96,7 @@ class HistoryWriter:
         """Record one of ``monitor``'s metrics into the store.
 
         A labeled metric attaches per *series*: every labelset that
-        materialises (or resurrects) registers its derived per-series
+        exists now or materialises later registers its derived per-series
         spec with the store and records segments under its canonical
         series key, so historical group-by queries can decode the
         labels back out of the store.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
@@ -141,6 +142,23 @@ class TestLabeledMonitorOutput:
         assert series_lines == sorted(series_lines)
         # The window never fills: every series is still warming up.
         assert all("(no full window yet)" in ln for ln in series_lines)
+        # The rate line keeps CI's bracket form and never reads 0.0 M.
+        rate = lines[-1]
+        assert re.fullmatch(r"\[[0-9.,]+( M)? ev/s across metrics, [0-9.]+s\]", rate)
+        assert "[0.0 M" not in rate
+
+    @pytest.mark.parametrize(
+        "events, elapsed, expected",
+        [
+            (100_000, 7.0, "[14,286 ev/s across metrics, 7.0s]"),
+            (999_999, 1.0, "[999,999 ev/s across metrics, 1.0s]"),
+            (3_400_000, 1.0, "[3.4 M ev/s across metrics, 1.0s]"),
+        ],
+    )
+    def test_throughput_unit_adapts(self, events, elapsed, expected):
+        from repro.evalkit.cli import _throughput_line
+
+        assert _throughput_line(events, elapsed) == "\n" + expected
 
     def test_series_flag_validation(self, specs_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -144,3 +144,30 @@ def test_as_native_coerces_numpy_scalars_and_arrays():
     native = serde.as_native(raw)
     assert_native(native)
     assert native == {"a": 3, "b": 1.5, "c": [1.0, 2.0], "d": [True, [1, "x"]]}
+
+
+def test_as_native_keeps_builtins_and_walks_other_mappings():
+    import enum
+    from collections import OrderedDict
+    from types import MappingProxyType
+
+    class Level(enum.IntEnum):
+        HIGH = 2
+
+    raw = OrderedDict(
+        a=True,
+        b=None,
+        c=(1, 2.5, "s"),
+        d=MappingProxyType({"x": np.float32(0.5), "y": float("-inf")}),
+        e=Level.HIGH,
+    )
+    native = serde.as_native(raw)
+    assert type(native) is dict and type(native["d"]) is dict
+    assert native == {
+        "a": True, "b": None, "c": [1, 2.5, "s"],
+        "d": {"x": 0.5, "y": float("-inf")}, "e": 2,
+    }
+    assert native["a"] is True and type(native["c"][0]) is int
+    assert native["e"] is Level.HIGH  # int subclasses pass through as before
+    nested = {"k": [1, [2.0, {"z": "w"}]]}
+    assert serde.as_native(nested) == nested

@@ -8,6 +8,9 @@ whole series index — while v1 (pre-labels) checkpoints still load.
 
 from __future__ import annotations
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -259,6 +262,43 @@ class TestCheckpointRoundTrip:
         assert restored.results("lat", labels=LS[1]) == monitor.results(
             "lat", labels=LS[1]
         )
+
+    def test_checkpoint_with_json_state_rows_resumes_byte_identically(
+        self, tmp_path
+    ):
+        # The fixture holds evicted series as 'state' rows with a 'bytes'
+        # field counting their JSON size: the checkpoint an index that
+        # kept evicted series as state dicts wrote after observing
+        # stream_values(11, 210) round-robin over ROSTER.
+        roster = battery_labelsets(fanout=2, hosts_per_region=2)
+        spec = make_family_spec(
+            "qlove", name="lat", window={"size": 40, "period": 10},
+            series={"max_active": 2},
+        )
+        head, tail = stream_values(11, 210), stream_values(12, 120)
+
+        def feed(monitor, values, offset):
+            for i, value in enumerate(values, start=offset):
+                monitor.observe("lat", float(value), labels=roster[i % len(roster)])
+
+        uninterrupted = Monitor()
+        uninterrupted.register(spec)
+        feed(uninterrupted, head, 0)
+        fixture = os.path.join(
+            os.path.dirname(__file__), "data", "labeled_checkpoint_json_rows.json"
+        )
+        resumed = Monitor.load(fixture)
+        with open(fixture, encoding="utf-8") as handle:
+            rows = json.load(handle)["series_families"][0]["evicted"]
+        assert len(rows) == 2 and all({"state", "bytes"} <= set(r) for r in rows)
+        assert resumed.snapshot() == uninterrupted.snapshot()
+        feed(uninterrupted, tail, len(head))
+        feed(resumed, tail, len(head))
+        paths = [str(tmp_path / name) for name in ("a.json", "b.json")]
+        uninterrupted.save(paths[0])
+        resumed.save(paths[1])
+        with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+            assert a.read() == b.read()
 
     def test_v1_checkpoint_without_families_still_loads(self):
         monitor = Monitor()

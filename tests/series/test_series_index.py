@@ -1,9 +1,9 @@
 """SeriesIndex lifecycle: lazy creation, deterministic eviction, serde.
 
-The pinned property throughout: eviction is a serde round-trip, so no
-sequence of evictions and resurrections can change any answer — and the
-index's future behaviour after ``from_state`` is indistinguishable from
-the saved instance's.
+The pinned property throughout: eviction parks a series' own channel
+and resurrection moves it back, so no sequence of evictions and
+resurrections can change any answer — and the index's future behaviour
+after ``from_state`` is indistinguishable from the saved instance's.
 """
 
 import pytest
@@ -152,6 +152,46 @@ class TestEviction:
             index.observe(LS[0], float(value))
         assert index.active_count() == 1
         assert index.stats()["evictions"] == 0
+
+
+class TestEvictionDoesNoSerialisation:
+    def test_thrash_moves_the_same_channel_objects(self, monkeypatch):
+        from repro.service.monitor import MetricChannel
+
+        index = SeriesIndex(small_spec(series={"max_active": 1}))
+        fill(index, stream_values(3, 3), LS)  # create all three series
+        channels = {
+            key: entry.channel for key, entry in index._iter_all()
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eviction must not serialise a channel")
+
+        monkeypatch.setattr(MetricChannel, "to_state", refuse)
+        monkeypatch.setattr(MetricChannel, "from_state", classmethod(refuse))
+        fill(index, stream_values(4, 60), LS)  # every call evicts + resurrects
+        monkeypatch.undo()
+        assert index.series() == sorted(channels)
+        for key, entry in index._iter_all():
+            assert entry.channel is channels[key]
+        stats = index.stats()
+        assert (stats["created"], stats["evictions"], stats["resurrections"]) == (
+            3, 62, 60
+        )
+        assert (stats["active"], stats["evicted"]) == (1, 2)
+
+    def test_evicted_estimate_is_eight_bytes_per_state_variable(self):
+        index = SeriesIndex(small_spec(series={"max_active": 1}))
+        fill(index, stream_values(0, 50), LS)
+        evicted_space = sum(
+            entry.channel.policy.space_variables()
+            for _, entry, evicted in index.members()
+            if evicted
+        )
+        stats = index.stats()
+        assert stats["evicted_state_bytes"] == evicted_space * 8 > 0
+        rows = index.to_state()["evicted"]
+        assert sum(row["bytes"] for row in rows) == stats["evicted_state_bytes"]
 
 
 class TestShardInvariance:
